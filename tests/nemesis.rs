@@ -781,6 +781,165 @@ fn flag_off_campaign_trace_digest_is_pinned() {
     );
 }
 
+/// Rewrites every read to cycle through the three tiers, per client:
+/// sequential, regular, atomic, sequential, ...
+fn scripts_three_tier(scripts: Vec<Vec<RegisterOp<u64>>>) -> Vec<Vec<RegisterOp<u64>>> {
+    const TIERS: [Consistency; 3] = [
+        Consistency::Sequential,
+        Consistency::Regular,
+        Consistency::Atomic,
+    ];
+    scripts
+        .into_iter()
+        .map(|script| {
+            let mut reads = 0;
+            script
+                .into_iter()
+                .map(|op| match op {
+                    RegisterOp::Read => {
+                        reads += 1;
+                        RegisterOp::ReadAt(TIERS[(reads - 1) % TIERS.len()])
+                    }
+                    other => other,
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Trace digest of one fixed-seed campaign (sim seed 1234), judged by
+/// `oracle` on the way.
+fn pinned_digest(
+    name: &str,
+    protocol: ProtocolSpec,
+    oracle: OracleSpec,
+    nemesis_seed: u64,
+    scripts: Vec<Vec<RegisterOp<u64>>>,
+) -> u64 {
+    let sched = NemesisConfig::new(nemesis_seed, N).plan();
+    soak_repro(name, protocol, oracle, 1234, sched, scripts)
+        .check_or_emit()
+        .unwrap_or_else(|e| panic!("{name}: {e}"))
+        .digest
+}
+
+// Golden trace digests for every register configuration, beside the
+// flag-off pin above. They hold the byte-for-byte event sequence of each
+// read mode, the write epilogue and the mixed consistency tiers on both
+// register protocols; a refactor that moves one changed behaviour.
+
+#[test]
+fn fixed_seed_swmr_fast_campaign_trace_digest_is_pinned() {
+    assert_eq!(
+        swmr_campaign_cfg(1234, 77, ReadMode::FastUnanimous),
+        0xfb0d8e9147d7e8ab,
+        "SWMR fast-read campaign trace drifted from the pinned golden digest"
+    );
+}
+
+#[test]
+fn fixed_seed_swmr_relay_campaign_trace_digest_is_pinned() {
+    assert_eq!(
+        swmr_campaign_cfg(1234, 77, ReadMode::Relay),
+        0x5d0a5328caeea333,
+        "SWMR relay campaign trace drifted from the pinned golden digest"
+    );
+}
+
+#[test]
+fn fixed_seed_swmr_epilogue_campaign_trace_digest_is_pinned() {
+    // Nemesis seed 88 crashes the writer mid-write, so the epilogue fires.
+    let digest = pinned_digest(
+        "pinned-swmr-epilogue",
+        ProtocolSpec::Swmr {
+            read_mode: ReadMode::TwoRound,
+            write_epilogue: true,
+        },
+        OracleSpec::AtomicSwmr,
+        88,
+        swmr_scripts(6),
+    );
+    assert_eq!(
+        digest, 0x0b13274c1a79fbab,
+        "SWMR epilogue campaign trace drifted from the pinned golden digest"
+    );
+}
+
+#[test]
+fn fixed_seed_swmr_mixed_tier_campaign_trace_digest_is_pinned() {
+    // No single-history oracle covers a sequential/regular/atomic mix, so
+    // the campaign is judged for replay determinism only.
+    let digest = pinned_digest(
+        "pinned-swmr-three-tier",
+        ProtocolSpec::Swmr {
+            read_mode: ReadMode::TwoRound,
+            write_epilogue: false,
+        },
+        OracleSpec::DigestDivergence,
+        77,
+        scripts_three_tier(swmr_scripts(6)),
+    );
+    assert_eq!(
+        digest, 0x1c2e4f07c26d8283,
+        "SWMR mixed-tier campaign trace drifted from the pinned golden digest"
+    );
+}
+
+/// Trace digest of the fixed-seed MWMR campaign in `read_mode`.
+fn pinned_mwmr_digest(read_mode: ReadMode) -> u64 {
+    pinned_digest(
+        "pinned-mwmr",
+        ProtocolSpec::Mwmr { read_mode },
+        OracleSpec::Linearizable,
+        77,
+        mwmr_scripts(4),
+    )
+}
+
+#[test]
+fn fixed_seed_mwmr_two_round_campaign_trace_digest_is_pinned() {
+    assert_eq!(
+        pinned_mwmr_digest(ReadMode::TwoRound),
+        0x3804b3fe56fc33f6,
+        "MWMR two-round campaign trace drifted from the pinned golden digest"
+    );
+}
+
+#[test]
+fn fixed_seed_mwmr_fast_campaign_trace_digest_is_pinned() {
+    assert_eq!(
+        pinned_mwmr_digest(ReadMode::FastUnanimous),
+        0x97368923e968a4ff,
+        "MWMR fast-read campaign trace drifted from the pinned golden digest"
+    );
+}
+
+#[test]
+fn fixed_seed_mwmr_relay_campaign_trace_digest_is_pinned() {
+    assert_eq!(
+        pinned_mwmr_digest(ReadMode::Relay),
+        0xb5335e808bfb07ec,
+        "MWMR relay campaign trace drifted from the pinned golden digest"
+    );
+}
+
+#[test]
+fn fixed_seed_mwmr_mixed_tier_campaign_trace_digest_is_pinned() {
+    let digest = pinned_digest(
+        "pinned-mwmr-three-tier",
+        ProtocolSpec::Mwmr {
+            read_mode: ReadMode::TwoRound,
+        },
+        OracleSpec::DigestDivergence,
+        77,
+        scripts_three_tier(mwmr_scripts(4)),
+    );
+    assert_eq!(
+        digest, 0x1686f16401aac7ee,
+        "MWMR mixed-tier campaign trace drifted from the pinned golden digest"
+    );
+}
+
 #[test]
 #[ignore = "manual tuning probe"]
 fn probe_epilogue_seeds() {
