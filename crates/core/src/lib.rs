@@ -8,7 +8,8 @@
 //! The crate provides:
 //!
 //! * the **single-writer** protocol of the paper ([`swmr`]) and the
-//!   **multi-writer** extension ([`mwmr`]), both with unbounded timestamps;
+//!   **multi-writer** extension ([`mwmr`]), both with unbounded timestamps
+//!   and both running on one quorum-phase state machine ([`register`]);
 //! * the **bounded-timestamp** variant ([`bounded`]), the part of the
 //!   journal paper devoted to recycling labels from a finite pool;
 //! * explicit **quorum systems** ([`quorum`]) generalizing the paper's
@@ -59,6 +60,7 @@
 //! | write / query / write-back messages | [`msg::RegisterMsg`] |
 //! | single-writer emulation | [`swmr::SwmrNode`] |
 //! | multi-writer extension | [`mwmr::MwmrNode`] |
+//! | both, as one quorum-phase state machine | [`register::RegisterNode`] |
 //! | bounded timestamps | [`bounded`] |
 
 #![forbid(unsafe_code)]
@@ -77,6 +79,7 @@ pub mod phase;
 pub mod presets;
 pub mod procset;
 pub mod quorum;
+pub mod register;
 pub mod replica;
 pub mod retransmit;
 pub mod swmr;

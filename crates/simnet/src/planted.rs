@@ -23,10 +23,10 @@
 //! **Why `abd-lint`'s `phase-graph` rule does not catch this statically:**
 //! the mutant never changes the phase structure of the wrapped protocol —
 //! `SwmrNode` still walks `Query -> WriteBack -> Done`, and its extracted
-//! graph still matches its `phase-spec(swmr)` declaration. The sabotage
-//! happens one layer up, in the *effects space*: [`PlantedSwmr`] filters
-//! the already-emitted `Update` broadcast out of the effects buffer and
-//! substitutes synthetic acks, which is data flow through runtime values
+//! graph still matches the engine's `phase-spec(register)` declaration. The
+//! sabotage happens one layer up, in the *effects space*: [`PlantedSwmr`]
+//! filters the already-emitted `Update` broadcast out of the effects buffer
+//! and substitutes synthetic acks, which is data flow through runtime values
 //! the phase extractor deliberately does not model. The structural analogue
 //! the rule *does* catch — a handler whose code path responds straight out
 //! of the query phase — is committed as the lint fixture
